@@ -13,9 +13,15 @@ the obstruction.
 
 All shell sums are evaluated in ``mpmath`` working precision with certified
 truncation tails, so a reported residual of 1e-12 means the identity holds,
-not that the series was cut early.  Synthetic shell data (doubles with
-prescribed values that no genuine function attains) is supported for testing
-the bookkeeping itself, but only behind an explicit flag.
+not that the series was cut early.  One precision model covers every input
+to the ledger: shell values come from running powers (one ``exp`` per term
+and distinct norm gap, then a multiplication per shell) carried with 10
+guard digits; the transform's coefficients ``c (pi/a)^{n/2}`` and widths
+``pi^2/a`` are formed in ``mpmath``, and so is the lattice mass, summed to
+the working precision.  Nothing is rounded to double before the chain is
+closed.  Synthetic shell data (doubles with prescribed values that no
+genuine function attains) is supported for testing the bookkeeping itself,
+but only behind an explicit flag.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .certificates import GaussianCombo, fourier
+from .certificates import GaussianCombo, fourier, fourier_terms_mp, shell_values_mp
 from .lattices import (
     Lattice,
     LatticeError,
@@ -38,11 +44,17 @@ from .lattices import (
     e8,
     is_integral,
     is_unimodular,
-    make_named,
     shell_series,
     zn,
 )
-from .theta import InsufficientShellsError, gaussian_mass, mass_gap, shell_tail_bound
+from .theta import (
+    DEFAULT_SHELL_TOL,
+    InsufficientShellsError,
+    _coerce_lattice,
+    _mass_mp,
+    mass_gap,
+    shell_tail_bound,
+)
 
 __all__ = [
     "AuditError",
@@ -71,6 +83,10 @@ CHAIN_TOL = 1e-8
 SIGN_TOL = 1e-10
 
 _AUDIT_DPS = 30
+#: Nullwert truncation of the lattice mass, relative, matched to _AUDIT_DPS:
+#: the mass of Z24 at t = 0.3 is 1.7e12, so the default 1e-18 would leave
+#: an error of 1e-5 against the absolute CHAIN_TOL.
+_MASS_REL_TOL = 10.0**-_AUDIT_DPS
 _DEPTH_START = 64
 _DEPTH_CAP = 4096
 _ROTATION_DEPTH = 6
@@ -137,13 +153,13 @@ def _check_input(h, n: int, allow_synthetic: bool) -> None:
 def _h_zero(h) -> mpmath.mpf:
     if _is_synthetic(h):
         return mpmath.mpf(h.value_at_zero)
-    return h.at_zero()
+    return mpmath.fsum(c for c, _ in h.terms)
 
 
 def _hhat_zero(h) -> mpmath.mpf:
     if _is_synthetic(h):
         return mpmath.mpf(h.fourier_at_zero)
-    return fourier(h).at_zero()
+    return mpmath.fsum(c for c, _ in fourier_terms_mp(h))
 
 
 def _shell_values(h, norms: Sequence[int]) -> tuple[list[mpmath.mpf], list[mpmath.mpf]]:
@@ -152,10 +168,18 @@ def _shell_values(h, norms: Sequence[int]) -> tuple[list[mpmath.mpf], list[mpmat
         hv = [mpmath.mpf(h.shell_value(m)) for m in norms]
         fv = [mpmath.mpf(h.fourier_shell_value(m)) for m in norms]
         return hv, fv
-    hh = fourier(h)
-    hv = [h.eval_mp(m) for m in norms]
-    fv = [hh.eval_mp(m) for m in norms]
-    return hv, fv
+    return shell_values_mp(h.terms, norms), shell_values_mp(fourier_terms_mp(h), norms)
+
+
+def _gaussian_values(t: float, norms: Sequence[int]) -> list[mpmath.mpf]:
+    """Values of the bare Gaussian e^{-t m} on the given shells."""
+    return shell_values_mp(((1, t),), norms)
+
+
+def _lattice_mass(lat: Lattice, t: float) -> mpmath.mpf:
+    """Gaussian mass of ``lat`` at ``t`` in working precision, never rounded
+    to double: at n = 24 the double alone is off by more than CHAIN_TOL."""
+    return _mass_mp(lat, mpmath.mpf(t), _MASS_REL_TOL, DEFAULT_SHELL_TOL)[0]
 
 
 def _tail_budget(h, n: int, depth: int) -> float:
@@ -186,14 +210,6 @@ def _certified_depth(h, n: int, t: float, tol: float, minimum: int = _DEPTH_STAR
                 f"{tol / 10.0:.3g} at depth {depth}"
             )
         depth *= 2
-
-
-def _coerce_lattice(lat) -> Lattice:
-    if isinstance(lat, Lattice):
-        return lat
-    if isinstance(lat, str):
-        return make_named(lat)
-    raise TypeError(f"expected a Lattice or a lattice name, got {type(lat).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -330,15 +346,16 @@ def _shell_ledger(h, lat: Lattice, t: float, chain_tol: float, min_depth: int = 
     """Everything the audits need about ``h`` on ``lat`` at width ``t``.
 
     Returns (depth, tail, norms, counts, hv, fv, gv, theta) where the value
-    lists are aligned with ``norms`` and already in working precision.
+    lists are aligned with ``norms`` and, like the mass ``theta``, already in
+    working precision.
     """
     depth, tail = _certified_depth(h, lat.dim, t, chain_tol, minimum=max(min_depth, _DEPTH_START))
     series = shell_series(lat, depth)
     norms = [m for m in range(1, depth + 1) if series.counts[m] > 0]
     counts = [series.counts[m] for m in norms]
     hv, fv = _shell_values(h, norms)
-    gv = [mpmath.exp(-mpmath.mpf(t) * m) for m in norms]
-    theta = gaussian_mass(lat, t)
+    gv = _gaussian_values(t, norms)
+    theta = _lattice_mass(lat, t)
     return depth, tail, norms, counts, hv, fv, gv, theta
 
 
@@ -430,7 +447,7 @@ def chain_audit(
 
         h0 = _h_zero(h)
         hh0 = _hhat_zero(h)
-        theta_m1 = mpmath.mpf(repr(float(theta))) - 1
+        theta_m1 = theta - 1
         chain = (
             float(theta_m1),
             float(sum_g),
@@ -524,7 +541,7 @@ def e8_collapse_audit(
         sum_fh = mpmath.fsum(r * v for r, v in zip(counts, fv))
         h0 = _h_zero(h)
         hh0 = _hhat_zero(h)
-        theta_m1 = mpmath.mpf(repr(float(theta))) - 1
+        theta_m1 = theta - 1
 
         lines = (
             float(theta_m1),
@@ -535,14 +552,14 @@ def e8_collapse_audit(
         )
         residual = float(mpmath.fabs(sum_h - sum_g))
         fourier_slack = float(-sum_fh)
-        theta_zn = gaussian_mass(zn(n), t)
-        epsilon = float((hh0 - h0) - (mpmath.mpf(repr(float(theta_zn))) - 1))
+        theta_zn = _lattice_mass(zn(n), t)
+        epsilon = float((hh0 - h0) - (theta_zn - 1))
         poisson_residual = None
         if not _is_synthetic(h):
             poisson_residual = float(mpmath.fabs(((hh0 - h0) + sum_fh) - sum_h))
 
         gap = float(mass_gap(t))
-        forced = float(mpmath.mpf(repr(float(theta_zn))) - mpmath.mpf(repr(float(theta))))
+        forced = float(theta_zn - theta)
 
     failing_step = None
     if residual > chain_tol + tail:
@@ -600,7 +617,6 @@ def graded_audit(
         raise ValueError(f"t must be positive and finite, got {t!r}")
 
     f = pair.difference
-    f_hat = fourier(f)
     lam = _collapse_lattice(n)
 
     with mpmath.workdps(_AUDIT_DPS):
@@ -608,8 +624,7 @@ def graded_audit(
         series = shell_series(lam, depth)
         norms = [m for m in range(1, depth + 1) if series.counts[m] > 0]
         counts = [series.counts[m] for m in norms]
-        fv = [f.eval_mp(m) for m in norms]
-        fhv = [f_hat.eval_mp(m) for m in norms]
+        fv, fhv = _shell_values(f, norms)
 
         first_violation: tuple[str, int] | None = None
         for m, vm, wm in zip(norms, fv, fhv):
@@ -620,8 +635,8 @@ def graded_audit(
 
         sum_f = mpmath.fsum(r * v for r, v in zip(counts, fv))
         sum_fh = mpmath.fsum(r * v for r, v in zip(counts, fhv))
-        f0 = f.at_zero()
-        fh0 = f_hat.at_zero()
+        f0 = _h_zero(f)
+        fh0 = _hhat_zero(f)
         residual = float(mpmath.fabs((fh0 - f0) - (sum_f - sum_fh)))
 
     if residual > chain_tol + tail:
@@ -676,8 +691,6 @@ def sequence_audit(
     for h in hs:
         _check_input(h, n, allow_synthetic)
 
-    theta_zn = gaussian_mass(zn(n), t)
-
     if len(hs) == 1 and dominators is None:
         chain = chain_audit(
             hs[0], zn(n), t,
@@ -711,7 +724,8 @@ def sequence_audit(
 
         series = shell_series(zn(n), depth)
         norms = [m for m in range(1, depth + 1) if series.counts[m] > 0]
-        gv = [mpmath.exp(-mpmath.mpf(t) * m) for m in norms]
+        gv = _gaussian_values(t, norms)
+        theta_zn = _lattice_mass(zn(n), t)
 
         epsilons = []
         element_ok = []
@@ -725,7 +739,7 @@ def sequence_audit(
             all_fv.append(fv)
             h0 = _h_zero(h)
             hh0 = _hhat_zero(h)
-            eps = float((hh0 - h0) - (mpmath.mpf(repr(float(theta_zn))) - 1))
+            eps = float((hh0 - h0) - (theta_zn - 1))
             epsilons.append(eps)
             ok = True
             for m, hm, fm, gm in zip(norms, hv, fv, gv):
@@ -783,10 +797,7 @@ def sequence_audit(
             direct = mpmath.fsum(r * v for r, v in zip(lam_counts, hv))
             transformed = (hh0 - h0) + mpmath.fsum(r * v for r, v in zip(lam_counts, fv))
             theta_clash = float(transformed - direct)
-            theta_lam = gaussian_mass(lam, t)
-            clash_expected = float(
-                mpmath.mpf(repr(float(theta_zn))) - mpmath.mpf(repr(float(theta_lam)))
-            )
+            clash_expected = float(theta_zn - _lattice_mass(lam, t))
 
     if not all(element_ok):
         verdict = "Violated"

@@ -10,6 +10,7 @@ already rules out the wider search space the class discretizes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import mpmath
@@ -24,10 +25,17 @@ __all__ = [
     "combo_from_json",
     "combo_to_json",
     "fourier",
+    "fourier_terms_mp",
     "gaussian_noncert_report",
     "poisson_check",
+    "shell_values_mp",
     "single_gaussian",
 ]
+
+#: Extra digits carried by the running products of shell_values_mp; the
+#: relative error grows by about one unit per step, so thousands of shells
+#: stay far below the caller's working precision.
+_GUARD_DPS = 10
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,48 @@ def fourier(h: GaussianCombo) -> GaussianCombo:
     return GaussianCombo(dim=n, terms=out)
 
 
+def fourier_terms_mp(h: GaussianCombo) -> list:
+    """Transform terms ``(c (pi/a)^{n/2}, pi^2/a)`` in the ambient mp precision.
+
+    The same map as :func:`fourier`, without rounding coefficients that can
+    reach 1e8 and beyond to double, which would cost absolute accuracy well
+    above the audit tolerances.
+    """
+    half_dim = mpmath.mpf(h.dim) / 2
+    return [(c * (mpmath.pi / a) ** half_dim, mpmath.pi**2 / a) for c, a in h.terms]
+
+
+def shell_values_mp(terms, norms: Sequence[int]) -> list:
+    """Values of ``sum c_k exp(-a_k m)`` at strictly increasing integer norms m.
+
+    ``terms`` holds ``(c, a)`` pairs (floats or mpf).  Each term keeps a
+    running power: one ``exp`` per term for each distinct gap between
+    consecutive norms (gap 1 on Z^n, gap 2 on E8), then one multiplication
+    per term and norm, and an exact-rounding ``fsum`` per norm.  The products
+    carry _GUARD_DPS extra digits, and the results keep them: the caller's
+    arithmetic rounds to its own working precision, and a per-shell slack
+    ``h(m) - e^{-tm}`` that cancels to 1e-15 is then formed from values more
+    accurate than that precision.
+    """
+    if any(b <= a for a, b in zip([-1, *norms], norms)):
+        raise ValueError("norms must be nonnegative and strictly increasing")
+    with mpmath.extradps(_GUARD_DPS):
+        widths = [mpmath.mpf(a) for _, a in terms]
+        powers = [mpmath.mpf(c) for c, _ in terms]
+        steps: dict[int, list] = {}
+        values = []
+        previous = 0
+        for m in norms:
+            gap = m - previous
+            step = steps.get(gap)
+            if step is None:
+                step = steps[gap] = [mpmath.exp(-a * gap) for a in widths]
+            powers = [p * s for p, s in zip(powers, step)]
+            values.append(mpmath.fsum(powers))
+            previous = m
+    return values
+
+
 def combo_to_json(h: GaussianCombo) -> dict:
     return {"dim": h.dim, "terms": [{"c": c, "a": a} for c, a in h.terms]}
 
@@ -135,14 +185,11 @@ class PoissonReport:
     ok: bool
 
 
-def _lattice_sum_mp(h: GaussianCombo, series, include_zero: bool = True):
+def _lattice_sum_mp(terms, series):
     """sum over shells of counts[m] * h(m), in the ambient mp precision."""
-    total = mpmath.mpf(0)
-    for m, r in enumerate(series.counts):
-        if r == 0 or (m == 0 and not include_zero):
-            continue
-        total += r * h.eval_mp(m)
-    return total
+    norms = [m for m, r in enumerate(series.counts) if r]
+    values = shell_values_mp(terms, norms)
+    return mpmath.fsum(series.counts[m] * v for m, v in zip(norms, values))
 
 
 def poisson_check(h: GaussianCombo, lat: Lattice, tol: float = 1e-9) -> PoissonReport:
@@ -170,8 +217,8 @@ def poisson_check(h: GaussianCombo, lat: Lattice, tol: float = 1e-9) -> PoissonR
     )
     series = shell_series(lat, depth)
     with mpmath.workdps(DEFAULT_DPS):
-        lhs = _lattice_sum_mp(h, series)
-        rhs = _lattice_sum_mp(hhat, series)
+        lhs = _lattice_sum_mp(h.terms, series)
+        rhs = _lattice_sum_mp(fourier_terms_mp(h), series)
         residual = float(abs(lhs - rhs))
     tail = scale_h * shell_tail_bound(lat.dim, depth, h.slowest_width())
     tail += scale_hhat * shell_tail_bound(lat.dim, depth, hhat.slowest_width())

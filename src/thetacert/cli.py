@@ -54,13 +54,17 @@ EXIT_BUDGET = 4
 
 _IDENTITY_TOL = 1e-12
 
+#: Lattice of the theta, lattice and poisson commands when none is named;
+#: audit instead defaults to Z^n of the certificates' dimension.
+_DEFAULT_LATTICE = "Z8"
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Canonical, JSON-round-trippable description of one CLI invocation."""
 
     command: str
-    lattice_spec: str = "Z8"
+    lattice_spec: str | None = None
     t: tuple[float, ...] = (1.0,)
     dictionary: str | tuple[float, ...] = "default"
     verify_depth: int | None = None
@@ -219,7 +223,7 @@ def cmd_theta(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.gap:
         rows = [{"t": tv, "gap": float(mass_gap(tv))} for tv in cfg.t]
         return {"mode": "gap", "values": rows}, EXIT_OK
-    lat = make_named(cfg.lattice_spec)
+    lat = make_named(cfg.lattice_spec or _DEFAULT_LATTICE)
     rows = []
     for tv in cfg.t:
         val = gaussian_mass(lat, tv)
@@ -231,7 +235,7 @@ def cmd_theta(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_lattice(cfg: RunConfig) -> tuple[dict, int]:
-    lat = make_named(cfg.lattice_spec)
+    lat = make_named(cfg.lattice_spec or _DEFAULT_LATTICE)
     depth = cfg.verify_depth if cfg.verify_depth is not None else 10
     series = shell_series(lat, depth)
     payload = {
@@ -302,7 +306,11 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
     if len(dims) != 1:
         raise ValueError(f"certificates disagree on dimension: {sorted(dims)}")
     n = dims.pop()
-    lat = make_named(cfg.lattice_spec) if cfg.lattice_spec != "Z8" else zn(n)
+    lat = zn(n) if cfg.lattice_spec is None else make_named(cfg.lattice_spec)
+    if lat.dim != n:
+        raise ValueError(
+            f"lattice {lat.name} has dimension {lat.dim} but the certificates have dimension {n}"
+        )
     rotation = random_rotation(n, cfg.seed) if cfg.seed is not None else None
 
     code = EXIT_OK
@@ -345,7 +353,7 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_poisson(cfg: RunConfig) -> tuple[dict, int]:
-    lat = make_named(cfg.lattice_spec)
+    lat = make_named(cfg.lattice_spec or _DEFAULT_LATTICE)
     code = EXIT_OK
     rows = []
     for path in cfg.certificates:

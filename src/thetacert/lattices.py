@@ -445,15 +445,29 @@ def ambient_vectors(lat: Lattice, max_norm: int) -> dict:
 
 
 def _convolve(a: list[int], b: list[int], max_norm: int) -> list[int]:
+    """Coefficients 0..max_norm of the product of two count series.
+
+    Visits only the nonzero entries of ``b``, so the cost is ``nnz(a) * nnz(b)``
+    at most; pass the sparser series (a Z1 factor has about sqrt(max_norm)
+    nonzero entries) as ``b``.
+    """
     out = [0] * (max_norm + 1)
+    nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        limit = max_norm - i
-        for j, bj in enumerate(b[: limit + 1]):
-            if bj:
+        if ai:
+            for j, bj in nonzero_b:
+                if i + j > max_norm:
+                    break
                 out[i + j] += ai * bj
     return out
+
+
+def _times_z_power(counts: list[int], n: int, max_norm: int, signed: bool = False) -> list[int]:
+    """``counts`` times the (signed) series of Z^n, one sparse Z1 factor at a time."""
+    factor = _z1_counts(max_norm, signed)
+    for _ in range(n):
+        counts = _convolve(counts, factor, max_norm)
+    return counts
 
 
 def _z1_counts(max_norm: int, signed: bool = False) -> list[int]:
@@ -484,22 +498,13 @@ def sigma3(m: int) -> int:
 
 def _structure_counts(structure: tuple, max_norm: int) -> list[int]:
     kind = structure[0]
+    unit = [1] + [0] * max_norm
     if kind == "Z":
-        n = structure[1]
-        out = [1] + [0] * max_norm
-        base = _z1_counts(max_norm)
-        for _ in range(n):
-            out = _convolve(out, base, max_norm)
-        return out
+        return _times_z_power(unit, structure[1], max_norm)
     if kind == "D":
         n = structure[1]
-        plain = [1] + [0] * max_norm
-        signed = [1] + [0] * max_norm
-        base = _z1_counts(max_norm)
-        alt = _z1_counts(max_norm, signed=True)
-        for _ in range(n):
-            plain = _convolve(plain, base, max_norm)
-            signed = _convolve(signed, alt, max_norm)
+        plain = _times_z_power(unit, n, max_norm)
+        signed = _times_z_power(unit, n, max_norm, signed=True)
         out = []
         for m in range(max_norm + 1):
             total = plain[m] + signed[m]
@@ -513,9 +518,12 @@ def _structure_counts(structure: tuple, max_norm: int) -> list[int]:
             out[2 * k] = 240 * sigma3(k)
         return out
     if kind == "sum":
-        out = [1] + [0] * max_norm
+        out = unit
         for child in structure[1]:
-            out = _convolve(out, _structure_counts(child, max_norm), max_norm)
+            if child[0] == "Z":
+                out = _times_z_power(out, child[1], max_norm)
+            else:
+                out = _convolve(out, _structure_counts(child, max_norm), max_norm)
         return out
     raise LatticeError(f"unknown structure tag: {structure!r}")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -36,16 +35,14 @@ from .lattices import (
 __all__ = [
     "DEFAULT_DPS",
     "DEFAULT_REL_TOL",
-    "QSeries",
+    "DEFAULT_SHELL_TOL",
     "ThetaValue",
     "eisenstein_e4",
-    "eisenstein_qseries",
     "functional_equation_residual",
     "gaussian_mass",
     "identity_suite",
     "jacobi_theta",
     "mass_gap",
-    "nullwert_qseries",
     "secrecy_function",
     "shell_tail_bound",
     "theta_from_shells",
@@ -53,6 +50,8 @@ __all__ = [
 
 DEFAULT_REL_TOL = 1e-18
 DEFAULT_DPS = 30
+#: Tail bound met by the shell sum when a mass is enumerated from a raw basis.
+DEFAULT_SHELL_TOL = 1e-13
 
 _SERIES_CAP = 200_000
 
@@ -77,35 +76,6 @@ class ThetaValue:
         return self.value
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Materialized q-expansion terms at a fixed evaluation point.
-
-    Exponents are exact rationals (the half-integer-squared exponents of the
-    second nullwert need denominator 4); coefficients are the exact integers
-    of the expansion.  tail_bound bounds the absolute truncation error of
-    evaluating at q_value.
-    """
-
-    coeffs: tuple[tuple[Fraction, int], ...]
-    tail_bound: float
-    q_value: float
-
-    def __post_init__(self):
-        if not 0 < self.q_value < 1:
-            raise ValueError("q_value must lie in (0, 1)")
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
-        exps = [e for e, _ in self.coeffs]
-        if any(b <= a for a, b in zip(exps, exps[1:])):
-            raise ValueError("exponents must be strictly increasing")
-
-    def value(self) -> float:
-        return float(
-            sum(c * mpmath.mpf(self.q_value) ** mpmath.mpf(e) for e, c in self.coeffs)
-        )
-
-
 def _require_positive(t) -> float:
     t = float(t)
     if not t > 0 or math.isinf(t):
@@ -114,7 +84,7 @@ def _require_positive(t) -> float:
 
 
 def _nullwert(kind: int, t, rel_tol):
-    """One nullwert as (value, tail bound, terms) in the ambient precision.
+    """One nullwert as (value, tail bound) in the ambient precision.
 
     Terms are added until the next term drops below rel_tol times the partial
     sum; the returned tail bound covers everything not added, by comparison
@@ -122,7 +92,6 @@ def _nullwert(kind: int, t, rel_tol):
     """
     q = mpmath.exp(-t)
     q2 = q * q
-    terms: list[tuple[Fraction, int]] = []
     if kind == 2:
         quarter_root = mpmath.exp(-t / 4)
         partial = mpmath.mpf(0)
@@ -133,9 +102,8 @@ def _nullwert(kind: int, t, rel_tol):
             term = 2 * quarter_root * power
             if m >= 1 and partial and term < rel_tol * abs(partial):
                 ratio = q ** (2 * m + 2)
-                return partial, term / (1 - ratio), terms
+                return partial, term / (1 - ratio)
             partial += term
-            terms.append((Fraction(2 * m + 1, 2) ** 2, 2))
             m += 1
             if m > _SERIES_CAP:
                 raise RuntimeError("nullwert series failed to converge")
@@ -143,7 +111,6 @@ def _nullwert(kind: int, t, rel_tol):
             power *= step
     if kind in (3, 4):
         partial = mpmath.mpf(1)
-        terms.append((Fraction(0), 1))
         power = mpmath.mpf(1)
         odd = q
         m = 1
@@ -153,10 +120,9 @@ def _nullwert(kind: int, t, rel_tol):
             term = 2 * power
             if partial and term < rel_tol * abs(partial):
                 ratio = q ** (2 * m + 1)
-                return partial, term / (1 - ratio), terms
+                return partial, term / (1 - ratio)
             sign = 1 if (kind == 3 or m % 2 == 0) else -1
             partial += sign * term
-            terms.append((Fraction(m * m), 2 * sign))
             m += 1
             if m > _SERIES_CAP:
                 raise RuntimeError("nullwert series failed to converge")
@@ -171,7 +137,6 @@ def _weight4(t, rel_tol):
     """
     Q = mpmath.exp(-2 * t)
     partial = mpmath.mpf(1)
-    terms: list[tuple[Fraction, int]] = [(Fraction(0), 1)]
     power = mpmath.mpf(1)
     m = 1
     while True:
@@ -181,17 +146,19 @@ def _weight4(t, rel_tol):
         ratio = mpmath.mpf(m + 1) ** 4 / mpmath.mpf(m) ** 4 * Q
         if term < rel_tol * partial and ratio < 1:
             crude = 240 * mpmath.mpf(m) ** 4 * power
-            return partial, crude / (1 - ratio), terms
+            return partial, crude / (1 - ratio)
         partial += term
-        terms.append((Fraction(m), coeff))
         m += 1
         if m > _SERIES_CAP:
             raise RuntimeError("weight-4 series failed to converge")
 
 
 def _as_theta_value(value, tail, t: float, dps: int) -> ThetaValue:
+    """Round an mp series value to double; the error covers the truncation
+    tail, the working-precision arithmetic and the rounding to double."""
     rounding = abs(value) * mpmath.mpf(10) ** (5 - dps)
-    return ThetaValue(value=float(value), abs_error=float(tail + rounding), t=t)
+    to_double = abs(mpmath.mpf(float(value)) - value)
+    return ThetaValue(value=float(value), abs_error=float(tail + rounding + to_double), t=t)
 
 
 def jacobi_theta(
@@ -204,20 +171,8 @@ def jacobi_theta(
     """
     t = _require_positive(t)
     with mpmath.workdps(dps):
-        value, tail, _ = _nullwert(kind, mpmath.mpf(t), rel_tol)
+        value, tail = _nullwert(kind, mpmath.mpf(t), rel_tol)
         return _as_theta_value(value, tail, t, dps)
-
-
-def nullwert_qseries(
-    kind: int, t, rel_tol: float = DEFAULT_REL_TOL, dps: int = DEFAULT_DPS
-) -> QSeries:
-    """The terms actually summed by jacobi_theta, with their tail bound."""
-    t = _require_positive(t)
-    with mpmath.workdps(dps):
-        _, tail, terms = _nullwert(kind, mpmath.mpf(t), rel_tol)
-        return QSeries(
-            coeffs=tuple(terms), tail_bound=float(tail), q_value=math.exp(-t)
-        )
 
 
 def eisenstein_e4(
@@ -226,20 +181,8 @@ def eisenstein_e4(
     """Weight-4 divisor series at Q = e^{-2t}; the Gaussian mass of E8."""
     t = _require_positive(t)
     with mpmath.workdps(dps):
-        value, tail, _ = _weight4(mpmath.mpf(t), rel_tol)
+        value, tail = _weight4(mpmath.mpf(t), rel_tol)
         return _as_theta_value(value, tail, t, dps)
-
-
-def eisenstein_qseries(
-    t, rel_tol: float = DEFAULT_REL_TOL, dps: int = DEFAULT_DPS
-) -> QSeries:
-    """Summed terms of the weight-4 series; exponents count powers of Q."""
-    t = _require_positive(t)
-    with mpmath.workdps(dps):
-        _, tail, terms = _weight4(mpmath.mpf(t), rel_tol)
-        return QSeries(
-            coeffs=tuple(terms), tail_bound=float(tail), q_value=math.exp(-2 * t)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +282,17 @@ def _mass_from_structure(structure: tuple, t, rel_tol):
     kind = structure[0]
     if kind == "Z":
         n = structure[1]
-        v, e, _ = _nullwert(3, t, rel_tol)
+        v, e = _nullwert(3, t, rel_tol)
         return v**n, n * v ** (n - 1) * e
     if kind == "D":
         n = structure[1]
-        v3, e3 = _nullwert(3, t, rel_tol)[:2]
-        v4, e4 = _nullwert(4, t, rel_tol)[:2]
+        v3, e3 = _nullwert(3, t, rel_tol)
+        v4, e4 = _nullwert(4, t, rel_tol)
         value = (v3**n + v4**n) / 2
         err = (n * v3 ** (n - 1) * e3 + n * abs(v4) ** (n - 1) * e4) / 2
         return value, err
     if kind == "E8":
-        v, e, _ = _weight4(t, rel_tol)
-        return v, e
+        return _weight4(t, rel_tol)
     if kind == "sum":
         value = mpmath.mpf(1)
         err = mpmath.mpf(0)
@@ -388,7 +330,7 @@ def gaussian_mass(
     lat,
     t,
     rel_tol: float = DEFAULT_REL_TOL,
-    shell_tol: float = 1e-13,
+    shell_tol: float = DEFAULT_SHELL_TOL,
     dps: int = DEFAULT_DPS,
 ) -> ThetaValue:
     """Mass of the Gaussian e^{-t |x|^2} summed over the lattice.
@@ -411,8 +353,8 @@ def mass_gap(t, rel_tol: float = DEFAULT_REL_TOL, dps: int = DEFAULT_DPS) -> The
     """
     t = _require_positive(t)
     with mpmath.workdps(dps):
-        v2, e2, _ = _nullwert(2, mpmath.mpf(t), rel_tol)
-        v4, e4, _ = _nullwert(4, mpmath.mpf(t), rel_tol)
+        v2, e2 = _nullwert(2, mpmath.mpf(t), rel_tol)
+        v4, e4 = _nullwert(4, mpmath.mpf(t), rel_tol)
         value = v2**4 * v4**4
         err = 4 * v2**3 * abs(v4) ** 3 * (abs(v4) * e2 + v2 * e4)
         return _as_theta_value(value, err, t, dps)
@@ -508,5 +450,5 @@ def secrecy_function(lat, y) -> float:
     with mpmath.workdps(DEFAULT_DPS):
         t = mpmath.pi * mpmath.mpf(y)
         cubic = _nullwert(3, t, DEFAULT_REL_TOL)[0] ** lat.dim
-        own = _mass_mp(lat, t, DEFAULT_REL_TOL, 1e-13)[0]
+        own = _mass_mp(lat, t, DEFAULT_REL_TOL, DEFAULT_SHELL_TOL)[0]
         return float(cubic / own)

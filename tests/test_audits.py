@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,6 +40,39 @@ def test_lp_optimum_is_near_sharp(lp_combo, default_solution):
     assert abs(report.epsilon - default_solution.epsilon) <= 1e-8
     total = report.slack_majorize_total + report.slack_fourier_total
     assert abs(total - report.epsilon) <= 1e-8 + report.tail_bound
+
+
+def test_mass_and_transform_stay_in_mp(lp_combo):
+    """The excess over the Z8 mass and the Z8/E8 mass gap come out as the
+    doubles nearest their 80-digit closed forms: neither the mass nor the
+    transform coefficients are rounded to double on the way."""
+    chain = audits.chain_audit(lp_combo, zn(8), 1.0)
+    collapse = audits.e8_collapse_audit(lp_combo, 8, 1.0)
+    with mpmath.workdps(80):
+        q = mpmath.exp(-1)
+        z8 = mpmath.jtheta(3, 0, q) ** 8
+        e8_mass = (mpmath.jtheta(2, 0, q) ** 8 + z8 + mpmath.jtheta(4, 0, q) ** 8) / 2
+        value = mpmath.fsum(c * ((mpmath.pi / a) ** 4 - 1) for c, a in lp_combo.terms)
+        epsilon = float(value - (z8 - 1))
+        gap = float(z8 - e8_mass)
+    assert abs(chain.epsilon - epsilon) <= math.ulp(epsilon)
+    assert abs(collapse.epsilon - epsilon) <= math.ulp(epsilon)
+    assert abs(collapse.forced_theta_discrepancy - gap) <= math.ulp(gap)
+
+
+@pytest.mark.parametrize("n, t", [(16, 0.3), (24, 0.5), (24, 0.3)])
+def test_positive_combination_is_violated_not_an_audit_error(n, t):
+    """A positive combination has a positive transform, so the verdict is
+    Violated; at these (n, t) the chain used to miss CHAIN_TOL by 1e-7 to
+    1e-5 because the mass was rounded to double (or truncated at 1e-18)."""
+    widths = lp.default_dictionary(t)
+    h = GaussianCombo(dim=n, terms=tuple(
+        (c, widths[i]) for c, i in zip((0.7, 1.1, 1.3), (11, 12, 13))
+    ))
+    report = audits.chain_audit(h, zn(n), t)
+    assert report.verdict == "Violated"
+    assert report.violated_condition == "fourier_nonpositivity"
+    assert report.chain_residual <= 1e-15
 
 
 def test_chain_stations_bracket_the_slacks(lp_combo):

@@ -6,13 +6,16 @@ import math
 import mpmath
 import pytest
 
+from thetacert import lp
 from thetacert.certificates import (
     GaussianCombo,
     combo_from_json,
     combo_to_json,
     fourier,
+    fourier_terms_mp,
     gaussian_noncert_report,
     poisson_check,
+    shell_values_mp,
     single_gaussian,
 )
 from thetacert.lattices import make_named, zn
@@ -101,3 +104,30 @@ def test_noncert_report_shows_fourier_positivity():
 def test_scaled_combo():
     combo = GaussianCombo(dim=8, terms=((2.0, 1.0),))
     assert combo.scaled(0.5).terms == ((1.0, 1.0),)
+
+
+@pytest.mark.parametrize(
+    "norms",
+    [list(range(1, 513)), list(range(2, 513, 2)), [7, 8, 11, 30, 31, 200, 203]],
+    ids=["Z8 shells", "E8 even shells", "first norm 7"],
+)
+def test_running_powers_match_direct_exponentials(default_problem, default_solution, norms):
+    """The running-power kernel at audit precision against one exp per term
+    at 80 digits, on the 24-term LP certificate and its mp transform."""
+    h = lp.certificate_of(default_problem, default_solution)
+    assert len(h.terms) == 24
+    with mpmath.workdps(30):
+        hhat = GaussianCombo(dim=h.dim, terms=tuple(fourier_terms_mp(h)))
+        values = [shell_values_mp(h.terms, norms), shell_values_mp(hhat.terms, norms)]
+    with mpmath.workdps(80):
+        for combo, got in zip((h, hhat), values):
+            for m, v in zip(norms, got):
+                scale = mpmath.fsum(abs(c) * mpmath.exp(-a * m) for c, a in combo.terms)
+                assert abs(v - combo.eval_mp(m)) <= mpmath.mpf("1e-25") * scale, m
+
+
+def test_running_powers_reject_unordered_norms():
+    with pytest.raises(ValueError):
+        shell_values_mp(((1.0, 1.0),), [3, 2])
+    with pytest.raises(ValueError):
+        shell_values_mp(((1.0, 1.0),), [-1, 2])

@@ -145,3 +145,16 @@ def test_pretty_rendering_is_plain_text():
     with pytest.raises(json.JSONDecodeError):
         json.loads(proc.stdout)
     assert "value" in proc.stdout
+
+
+def test_audit_rejects_an_explicit_lattice_of_another_dimension(cert_dir):
+    proc = run_cli("audit", str(cert_dir / "combo12.json"), "--t", "1.0", "--lattice", "Z8")
+    assert proc.returncode == 3
+    assert "8" in proc.stderr and "12" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_audit_defaults_to_zn_of_the_certificate_dimension(cert_dir):
+    proc = run_cli("audit", str(cert_dir / "combo12.json"), "--t", "1.0")
+    assert proc.returncode in (0, 2), proc.stderr
+    assert json.loads(proc.stdout)["chain"][0]["lattice_label"] == "Z12"

@@ -131,3 +131,47 @@ def test_rotation_preserves_norms():
         if len(vecs):
             norms = (vecs * vecs).sum(axis=1)
             assert abs(norms - m).max() < 1e-9
+
+
+def _divisor_sum(depth, weight):
+    out = [0] * (depth + 1)
+    for d in range(1, depth + 1):
+        for m in range(d, depth + 1, d):
+            out[m] += weight(d, m)
+    return out
+
+
+def _r4(depth):
+    """Jacobi: r4(m) = 8 * sum of the divisors of m not divisible by 4."""
+    out = _divisor_sum(depth, lambda d, m: 8 * d if d % 4 else 0)
+    out[0] = 1
+    return out
+
+
+def _r8(depth):
+    """Jacobi: r8(m) = 16 * sum over d | m of (-1)^(m+d) d^3."""
+    out = _divisor_sum(depth, lambda d, m: 16 * (-1) ** (m + d) * d**3)
+    out[0] = 1
+    return out
+
+
+def _e8(depth):
+    sigma = _divisor_sum(depth // 2, lambda d, m: d**3)
+    return [1] + [240 * sigma[m // 2] if m % 2 == 0 else 0 for m in range(1, depth + 1)]
+
+
+def _product(a, b):
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+@pytest.mark.parametrize(
+    "name, depth, closed_form",
+    [
+        ("Z8", 4096, _r8),
+        ("E8+Z4", 4096, lambda d: _product(_e8(d), _r4(d))),
+        # D16 is the even-norm part of Z16 = Z8 + Z8
+        ("D16", 1024, lambda d: [c if m % 2 == 0 else 0 for m, c in enumerate(_product(_r8(d), _r8(d)))]),
+    ],
+)
+def test_deep_structured_series_match_divisor_sums(name, depth, closed_form):
+    assert list(lat.shell_series(lat.make_named(name), depth).counts) == closed_form(depth)

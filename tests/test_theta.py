@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from thetacert import theta
-from thetacert.lattices import e8, make_named, zn
+from thetacert.lattices import dn, e8, lattice_from_rows, make_named, zn
 
 # Anchors frozen from 40-digit mpmath evaluations of the defining series.
 E4_AT_ONE = 97.40915357737309
@@ -132,3 +132,29 @@ def test_value_object_is_floatable():
     value = theta.gaussian_mass(zn(4), 2.0)
     assert isinstance(float(value), float)
     assert value.abs_error >= 0.0
+
+
+def _closed_form_mass(name, t):
+    """50-digit masses from the nullwerte: Z8 = theta3^8, D8 its even part,
+    E8 = (theta2^8 + theta3^8 + theta4^8) / 2."""
+    with mpmath.workdps(50):
+        q = mpmath.exp(-mpmath.mpf(t))
+        v2, v3, v4 = (mpmath.jtheta(k, 0, q) ** 8 for k in (2, 3, 4))
+        return {"Z8": v3, "D8": (v3 + v4) / 2, "E8": (v2 + v3 + v4) / 2}[name]
+
+
+# A raw basis (no structure tag) is summed by enumeration, which reaches the
+# depth t = 5 needs (norm 10) but not that of t = 1 (56) or t = 0.3 (196).
+_MASS_CASES = [(name, False, t) for name in ("Z8", "D8", "E8") for t in (0.3, 1.0, 5.0)]
+_MASS_CASES += [(name, True, 5.0) for name in ("Z8", "D8", "E8")]
+
+
+@pytest.mark.parametrize("name, raw, t", _MASS_CASES)
+def test_mass_error_bar_contains_closed_form(name, raw, t):
+    """The stated abs_error also covers rounding the value to double."""
+    lattice = {"Z8": zn(8), "D8": dn(8), "E8": e8()}[name]
+    if raw:
+        lattice = lattice_from_rows(lattice.basis, name=f"raw{name}")
+    value = theta.gaussian_mass(lattice, t)
+    with mpmath.workdps(50):
+        assert abs(_closed_form_mass(name, t) - value.value) <= value.abs_error
