@@ -2,15 +2,18 @@
 
 Bases and Gram matrices are stored as exact rationals (dyadic denominators
 cover every built-in family), so integrality, unimodularity, and shell
-membership are decided without rounding.  Shell counts come from a recursive
-coordinate search driven by an exact decomposition of the quadratic form;
-families with product structure (powers of Z, the E8 divisor formula,
-orthogonal sums) get identical counts from coefficient convolution at depths
-the search cannot reach.
+membership are decided without rounding.  Shell counts and vectors of an
+integral lattice come from one Fincke-Pohst coordinate search over numpy
+arrays: float bounds from the exact decomposition of the quadratic form,
+widened by margins that cover their rounding, and exact int64 norms for every
+vector kept.  Families with product structure (powers of Z, the E8 divisor
+formula, orthogonal sums) get identical counts from coefficient convolution
+at depths the search cannot reach.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -58,6 +61,12 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 100_000_000
 BUDGET_ENV_VAR = "THETA_CERT_BUDGET"
 
+#: Frontier rows the coordinate search expands at a time.
+_CHUNK_ROWS = 256
+#: Largest coordinate-box bound on ``x^T G x`` the search accepts; the leaf
+#: arithmetic stays below four times this, inside int64.
+_NORM_LIMIT = 2**61
+
 CERTIFIED_STABLE = "CertifiedStable"
 NOT_APPLICABLE = "NotApplicable"
 
@@ -71,7 +80,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def node_budget() -> int:
-    """Enumeration node budget, overridable through THETA_CERT_BUDGET."""
+    """Enumeration node budget, overridable through THETA_CERT_BUDGET.
+
+    A node is one candidate coordinate value generated at one level of the
+    coordinate search; the search checks the budget before it allocates a
+    level's candidates, so an exhausted budget raises early.
+    """
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_NODE_BUDGET
@@ -312,59 +326,134 @@ def _squares_decomposition(gram):
     return tuple(d), tuple(tuple(row) for row in u)
 
 
-def _coordinate_search(lat: Lattice, max_norm: int, budget: int, collect: bool):
-    """Visit every lattice vector with squared norm <= max_norm.
+@lru_cache(maxsize=None)
+def _inverse_diagonal(gram: tuple) -> tuple:
+    """Exact diagonal of the inverse Gram matrix.
 
-    Returns (counts list, coords dict or None).  Bounds per coordinate come
-    from the exact decomposition with outward float rounding; each candidate
-    is then accepted or rejected exactly, so no boundary vector is missed.
+    With the form written as ``(Ux)^T D (Ux)`` (``U`` unit upper triangular),
+    the inverse is ``V D^-1 V^T`` with ``V = U^-1``, found by back substitution.
     """
+    d, u = _decomposition_cached(gram)
+    n = len(d)
+    v = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        for k in range(i, n):
+            entry = Fraction(int(i == k))
+            for j in range(i + 1, k + 1):
+                entry -= u[i][j] * v[j][k]
+            v[i][k] = entry
+    return tuple(sum(v[i][k] ** 2 / d[k] for k in range(i, n)) for i in range(n))
+
+
+def _coordinate_search(lat: Lattice, max_norm: int, budget: int, collect: bool):
+    """Visit every lattice vector with squared norm <= max_norm (Fincke-Pohst).
+
+    Returns (counts list, None) or, with ``collect``, (counts list, dict from
+    norm to an int64 array of coordinate rows in lexicographic order).
+
+    The search fixes coordinates n-1 down to 0.  It carries a frontier of
+    partial coordinate rows, each with a float remaining budget ``rem`` and a
+    running bound ``err`` on that budget's rounding error, and expands it one
+    level at a time.  A row's candidates for the next coordinate form an
+    interval around its centre ``-sum u_ij x_j`` of half-width
+    ``sqrt(rem / d_i)``.  Coordinates are clipped to the exact box
+    ``|x_i| <= sqrt(N (G^-1)_ii)``, and a box whose norms could overflow int64
+    is refused.  The interval is widened, and rows are kept while
+    ``rem >= -err``, by margins that scale with ``sum |u_ij x_j|`` (bounded
+    over the box, which also bounds the centre), the half-width and ``err``,
+    so rounding can only widen the search.  Every full row is then accepted
+    or rejected by its exact int64 norm ``x^T G x``.  Frontier blocks
+    of at most ``_CHUNK_ROWS`` rows are expanded deepest level first, so
+    memory stays bounded; the node budget is checked before each expansion.
+    """
+    if not is_integral(lat):
+        raise LatticeError("enumeration requires an integral lattice")
     n = lat.dim
-    d, u = _decomposition_cached(lat.gram)
-    counts = [0] * (max_norm + 1)
-    coords: dict[int, list] | None = {} if collect else None
-    bound = Fraction(max_norm)
-    x = [0] * n
+    gram = [[int(entry) for entry in row] for row in lat.gram]
+    box = [
+        math.isqrt(max_norm * v.numerator // v.denominator)
+        for v in _inverse_diagonal(lat.gram)
+    ]
+    # gx_max[i] bounds |(Gx)_i| over the box, so the sum bounds |x^T G x|
+    gx_max = [sum(abs(g) * b for g, b in zip(row, box)) for row in gram]
+    if sum(max(b, 1) * r for b, r in zip(box, gx_max)) > _NORM_LIMIT:
+        raise LatticeError(
+            f"coordinate box to norm {max_norm} is too large for exact int64 norms"
+        )
+    d_exact, u_exact = _decomposition_cached(lat.gram)
+    d = [float(v) for v in d_exact]
+    u = np.array([[float(v) for v in row] for row in u_exact])
+    # size[i] bounds sum_j |u_ij x_j|, hence the centre, over the whole box
+    size = [sum(abs(u_ij) * b for u_ij, b in zip(row, box)) for row in u.tolist()]
+    g = np.array(gram, dtype=np.int64)
+    # relative rounding of an n-term dot product and of the few operations
+    # around it, with a fourfold reserve
+    tau = 4 * (n + 4) * 2.0**-53
+
+    counts = np.zeros(max_norm + 1, dtype=np.int64)
+    # collected rows wait in the narrowest integer type that holds the box
+    narrow = np.min_scalar_type(-max(box) - 1)
+    found = []
     nodes = 0
-    zero = Fraction(0)
-
-    def recurse(i: int, remaining: Fraction):
-        nonlocal nodes
-        row = u[i]
-        t = zero
-        for j in range(i + 1, n):
-            if x[j]:
-                t += row[j] * x[j]
-        di = d[i]
-        half_width = math.sqrt(float(remaining / di)) if remaining > 0 else 0.0
-        center = -float(t)
-        lo = math.floor(center - half_width) - 1
-        hi = math.ceil(center + half_width) + 1
-        for xi in range(lo, hi + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"shell enumeration exceeded the budget of {budget} nodes"
-                )
-            step = di * (xi + t) ** 2
-            if step <= remaining:
-                x[i] = xi
-                if i == 0:
-                    norm = bound - (remaining - step)
-                    if norm.denominator != 1:
-                        raise LatticeError(
-                            "non-integer squared norm; enumerate integral lattices only"
-                        )
-                    m = int(norm)
-                    counts[m] += 1
-                    if collect:
-                        coords.setdefault(m, []).append(tuple(x))
-                else:
-                    recurse(i - 1, remaining - step)
-        x[i] = 0
-
-    recurse(n - 1, bound)
-    return counts, coords
+    stack = [(n - 1, np.zeros((1, n), np.int64), np.array([float(max_norm)]), np.zeros(1))]
+    while stack:
+        i, x, rem, err = stack.pop()
+        if len(x) > _CHUNK_ROWS:
+            stack.append((i, x[_CHUNK_ROWS:], rem[_CHUNK_ROWS:], err[_CHUNK_ROWS:]))
+            x, rem, err = x[:_CHUNK_ROWS], rem[:_CHUNK_ROWS], err[:_CHUNK_ROWS]
+        centre = -(x[:, i + 1 :] * u[i, i + 1 :]).sum(axis=1)
+        room = np.maximum(rem, 0.0)
+        width = np.sqrt(room / d[i])
+        margin = tau * (size[i] + width) + np.sqrt(err / d[i])
+        lo = np.clip(np.ceil(centre - width - margin), -box[i], box[i] + 1)
+        hi = np.clip(np.floor(centre + width + margin), -box[i] - 1, box[i])
+        k = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        total = int(k.sum())
+        nodes += total
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"shell enumeration exceeded the budget of {budget} nodes"
+            )
+        parent = np.repeat(np.arange(len(x)), k)
+        xi = lo.astype(np.int64)[parent] + np.arange(total) - np.repeat(np.cumsum(k) - k, k)
+        if i > 0:
+            # every candidate has |x_i - centre| <= reach, so one error bound
+            # per parent covers the rounding of all its children's remainders
+            reach = width + margin
+            delta = tau * (size[i] + reach)
+            child_err = (
+                err
+                + d[i] * delta * (2 * reach + delta)
+                + tau * (room + err + d[i] * reach * reach)
+            )
+            y = xi - centre[parent]
+            new_rem = rem[parent] - d[i] * y * y
+            new_err = child_err[parent]
+            keep = new_rem >= -new_err
+            child = x[parent[keep]]
+            child[:, i] = xi[keep]
+            stack.append((i - 1, child, new_rem[keep], new_err[keep]))
+            continue
+        # leaves: x^T G x = q + x_0 (2 s + G_00 x_0), with q, s from the parent row
+        xg = x @ g
+        q = (xg * x).sum(axis=1)
+        norms = q[parent] + xi * (2 * xg[parent, 0] + g[0, 0] * xi)
+        keep = norms <= max_norm
+        counts += np.bincount(norms[keep], minlength=max_norm + 1)
+        if collect:
+            rows = x[parent[keep]]
+            rows[:, 0] = xi[keep]
+            found.append((rows.astype(narrow), norms[keep]))
+    counts = counts.tolist()
+    if not collect:
+        return counts, None
+    rows = np.concatenate([r for r, _ in found])
+    order = np.lexsort((*rows.T[::-1], np.concatenate([m for _, m in found])))
+    del found
+    rows = rows[order].astype(np.int64)
+    shells = [m for m, c in enumerate(counts) if c]
+    ends = list(itertools.accumulate(counts[m] for m in shells))
+    return counts, dict(zip(shells, np.split(rows, ends[:-1])))
 
 
 @dataclass(frozen=True)
@@ -400,13 +489,11 @@ class ShellSeries:
 
 
 def enumerate_shells(lat: Lattice, max_norm: int, budget: int | None = None) -> ShellSeries:
-    """Exact shell counts by recursive coordinate search."""
+    """Exact shell counts by the Fincke-Pohst coordinate search."""
     if not isinstance(lat, Lattice):
         raise LatticeError("enumerate_shells expects an exact Lattice")
     if max_norm < 0:
         raise LatticeError("max_norm must be nonnegative")
-    if not is_integral(lat):
-        raise LatticeError("enumeration requires an integral lattice")
     budget = node_budget() if budget is None else budget
     counts, _ = _coordinate_search(lat, max_norm, budget, collect=False)
     return ShellSeries(
@@ -416,14 +503,15 @@ def enumerate_shells(lat: Lattice, max_norm: int, budget: int | None = None) -> 
 
 @lru_cache(maxsize=64)
 def enumerate_vectors(lat: Lattice, max_norm: int) -> dict:
-    """All vectors with squared norm <= max_norm, as coordinate arrays by norm."""
-    if not is_integral(lat):
-        raise LatticeError("enumeration requires an integral lattice")
+    """All vectors with squared norm <= max_norm, as coordinate arrays by norm.
+
+    Each shell's int64 rows are in lexicographic order and read-only, since
+    the cache hands the same arrays to every caller.
+    """
     _, coords = _coordinate_search(lat, max_norm, node_budget(), collect=True)
-    out = {}
-    for m, vecs in sorted(coords.items()):
-        out[m] = np.array(sorted(vecs), dtype=np.int64)
-    return out
+    for vecs in coords.values():
+        vecs.setflags(write=False)
+    return coords
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,12 @@
 """Exact lattice constructions, shell enumeration, and their invariants."""
 
+import itertools
 import json
+import math
 import os
+import time
 
+import numpy as np
 import pytest
 
 from thetacert import lattices as lat
@@ -48,9 +52,16 @@ def test_enumeration_agrees_with_structured_series(name):
 
 
 def test_enumeration_agrees_in_dimension_twelve():
-    # shallow depth: the box blows up quickly past eight dimensions
     lattice = lat.make_named("E8+Z4")
-    assert lat.enumerate_shells(lattice, 4).counts == lat.shell_series(lattice, 4).counts
+    assert lat.enumerate_shells(lattice, 8).counts == lat.shell_series(lattice, 8).counts
+
+
+@pytest.mark.parametrize("name, depth", [("Z12", 6), ("D16", 6), ("E8", 16)])
+def test_raw_basis_enumeration_agrees_with_structured_series(name, depth):
+    named = lat.make_named(name)
+    raw = lat.lattice_from_rows(named.basis, name=f"raw{name}")
+    assert raw.structure is None
+    assert lat.shell_series(raw, depth).counts == lat.shell_series(named, depth).counts
 
 
 def test_dn_construction():
@@ -120,6 +131,13 @@ def test_enumeration_budget(monkeypatch):
         lat.enumerate_shells(lat.zn(8), 6)
 
 
+def test_budget_fires_before_a_large_frontier():
+    start = time.perf_counter()
+    with pytest.raises(lat.BudgetExceededError):
+        lat.enumerate_shells(lat.zn(16), 30, budget=10**5)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_rotation_preserves_norms():
     rot = lat.random_rotation(8, seed=11)
     assert rot.defect() < 1e-12
@@ -131,6 +149,113 @@ def test_rotation_preserves_norms():
         if len(vecs):
             norms = (vecs * vecs).sum(axis=1)
             assert abs(norms - m).max() < 1e-9
+
+
+def test_rotated_vectors_are_pinned():
+    z8 = lat.zn(8)
+    rot = lat.random_rotation(8, seed=11)
+    got = lat.RotatedLattice(z8, rot).rotated_vectors(3)
+    want = _box_vectors(z8, 3)
+    assert list(got) == list(want)
+    for m, coords in want.items():
+        expected = (coords.astype(float) @ lat.basis_matrix(z8)) @ rot.entries.T
+        assert np.array_equal(got[m], expected)
+
+
+def _box_vectors(lattice, max_norm):
+    """Every coordinate vector in the box |x_i| <= sqrt(max_norm), filtered
+    by its exact norm; the box holds every shell of Z^n, and of D4 through
+    norm 4."""
+    gram = np.array(lattice.gram, dtype=np.int64)
+    side = range(-math.isqrt(max_norm), math.isqrt(max_norm) + 1)
+    by_norm = {}
+    for x in itertools.product(side, repeat=lattice.dim):
+        norm = int(np.array(x) @ gram @ np.array(x))
+        if norm <= max_norm:
+            by_norm.setdefault(norm, []).append(x)
+    return {m: np.array(sorted(by_norm[m]), dtype=np.int64) for m in sorted(by_norm)}
+
+
+def _e8_vectors(max_norm):
+    """E8 vectors from its ambient description (D8 and D8 + 1/2, coordinates
+    at most 2 in absolute value, enough through norm 4), mapped to basis
+    coordinates."""
+    e8 = lat.e8()
+    inverse = np.linalg.inv(lat.basis_matrix(e8))
+    by_norm = {}
+    for values in ((-2, -1, 0, 1, 2), (-1.5, -0.5, 0.5, 1.5)):
+        for v in itertools.product(values, repeat=8):
+            norm = sum(c * c for c in v)
+            if norm <= max_norm and sum(v) % 2 == 0:
+                coords = np.array(v) @ inverse
+                x = tuple(int(c) for c in np.rint(coords))
+                assert np.array_equal(np.array(x) @ lat.basis_matrix(e8), np.array(v))
+                by_norm.setdefault(int(norm), []).append(x)
+    return {m: np.array(sorted(by_norm[m]), dtype=np.int64) for m in sorted(by_norm)}
+
+
+@pytest.mark.parametrize(
+    "name, depth, reference",
+    [
+        ("D4", 4, lambda: _box_vectors(lat.dn(4), 4)),
+        ("Z3", 6, lambda: _box_vectors(lat.zn(3), 6)),
+        ("E8", 4, lambda: _e8_vectors(4)),
+    ],
+)
+def test_collected_vectors_match_brute_force(name, depth, reference):
+    got = lat.enumerate_vectors(lat.make_named(name), depth)
+    want = reference()
+    assert list(got) == list(want)
+    for m in want:
+        assert got[m].dtype == np.int64
+        assert np.array_equal(got[m], want[m])
+
+
+def test_cached_vectors_are_read_only():
+    vecs = lat.enumerate_vectors(lat.dn(4), 2)
+    with pytest.raises(ValueError):
+        vecs[2][0, 0] = 5
+    assert lat.enumerate_vectors(lat.dn(4), 2)[2][0, 0] != 5
+
+
+def _skewed(name, k):
+    """Another basis of a named lattice, from a fixed sequence of unimodular
+    row operations: a mix of neighbours, which makes the decomposition
+    non-dyadic, then a chain scaled by k, which makes the entries large."""
+    rows = [list(row) for row in lat.make_named(name).basis]
+    mix = [(0, 1, 1), (2, 3, -1), (4, 5, 1), (6, 7, 1), (1, 2, 1), (5, 6, -1), (3, 4, 1)]
+    chain = [(i, i - 1, (-1) ** i * k) for i in range(1, 8)] + [(7, 0, k), (6, 1, -k)]
+    for i, j, c in mix + chain:
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return lat.lattice_from_rows(rows, name=f"skew{k}{name}")
+
+
+@pytest.mark.parametrize(
+    "name, k, entries_above, closed_form",
+    [
+        # entries in the thousands: a search without rounding margins misses
+        # about half of shell 8 on both
+        ("Z8", 3, 1000, lambda: _r8(8)),
+        ("E8", 3, 1000, lambda: _e8(8)),
+        # entries near 4e7: fixed margins of 1e-7 (instead of ones scaled to
+        # the centres) lose 24 vectors of shell 8
+        ("E8", 12, 10**7, lambda: _e8(8)),
+    ],
+)
+def test_skewed_bases_count_exactly(name, k, entries_above, closed_form):
+    skewed = _skewed(name, k)
+    assert lat.is_unimodular(skewed)
+    assert max(abs(entry) for row in skewed.basis for entry in row) > entries_above
+    assert list(lat.enumerate_shells(skewed, 8).counts) == closed_form()
+
+
+def test_basis_beyond_int64_is_refused_or_exact():
+    sheared = lat.lattice_from_rows([[1, 0], [10**12, 1]], name="sheared")
+    try:
+        counts = lat.enumerate_shells(sheared, 8).counts
+    except lat.LatticeError:
+        return
+    assert counts == lat.shell_series(lat.zn(2), 8).counts
 
 
 def _divisor_sum(depth, weight):
